@@ -37,10 +37,12 @@ a served hit counts :data:`~repro.stats.PREFETCH_HITS` when navigation
 lands on the shared prefix.
 
 Both levels are safe under concurrent server sessions: the LRU maps
-lock internally (validation runs inside the lock), shared memoized
-trees serialize lazy-tail forcing through the
-:mod:`repro.xmltree.tree` forcing lock, and the version fingerprints
-they validate against are snapshotted under the database write lock.
+lock internally (validation runs inside the lock and never forces), a
+shared memoized tree single-flights its lazy tails under its own
+answer's lock (see :class:`repro.xmltree.tree.LazyTail`) — sessions on
+one answer take turns while unrelated answers force in parallel — and
+the version fingerprints they validate against are snapshotted under
+the database write lock.
 """
 
 from __future__ import annotations

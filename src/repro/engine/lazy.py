@@ -33,6 +33,8 @@ here) runs the untouched seed code paths.
 
 from __future__ import annotations
 
+import threading
+
 from repro import stats as statnames
 from repro.errors import (
     CircuitOpenError,
@@ -43,7 +45,7 @@ from repro.errors import (
 )
 from repro.resilience.resilient import DEGRADE, RAISE
 from repro.resilience.stub import stub_for_error
-from repro.xmltree.tree import Node, OidGenerator, atomize
+from repro.xmltree.tree import LazyTail, Node, OidGenerator, atomize
 from repro.algebra import operators as ops
 from repro.algebra.bindings import BindingSet, BindingTuple
 from repro.algebra.conditions import skolem_arg_of, KEY, VALUE
@@ -99,6 +101,11 @@ class LazyEngine:
         self.profiler = profiler
         if profiler is not None:
             profiler.bind(self.obs)
+        # Every lazily-tailed node this engine exports (the tD root and
+        # each crElt over a lazy list) pulls the same operator
+        # generators, so they single-flight under one shared lock; the
+        # mediator builds one engine per answer.
+        self._answer_lock = threading.RLock()
 
     def _degraded_stub(self, exc, source=None):
         """Record and build the stub standing in for a failed subtree."""
@@ -226,7 +233,9 @@ class LazyEngine:
             oid = root_oid
         else:
             oid = "&{}".format(root_oid)
-        return Node(oid, "list", lazy_tail=self._td_children(plan, env))
+        return Node(oid, "list", lazy_tail=LazyTail(
+            self._td_children(plan, env), self._answer_lock
+        ))
 
     def _td_children(self, plan, env):
         """The child elements a ``tD`` exports, as a lazy generator."""
@@ -527,7 +536,8 @@ class LazyEngine:
                     else:
                         yield item
 
-            return Node(oid, plan.label, lazy_tail=tail())
+            return Node(oid, plan.label,
+                        lazy_tail=LazyTail(tail(), self._answer_lock))
         raise EvaluationError(
             "crElt child variable {} bound to {!r}".format(
                 plan.ch_var, ch_value

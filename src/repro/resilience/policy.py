@@ -9,6 +9,8 @@ them around any :class:`~repro.sources.base.Source`.
 
 from __future__ import annotations
 
+import threading
+
 from repro.errors import (
     CircuitOpenError,
     SourceTimeoutError,
@@ -175,6 +177,11 @@ class CircuitBreaker:
     transition is recorded in :attr:`transitions` and reported through
     the optional ``on_transition`` callback (the hook
     :class:`ResilientSource` uses to emit obs events).
+
+    Thread-safe: answers over one source are forced concurrently, so
+    every read-modify-write of the state runs under one re-entrant
+    lock — no failure count is lost, and each transition is recorded
+    and reported exactly once.
     """
 
     def __init__(self, failure_threshold=5, cooldown=30.0, clock=None,
@@ -196,56 +203,63 @@ class CircuitBreaker:
         #: circuit for the first (and vice versa), so ResilientSource
         #: refuses shared breakers — see :meth:`clone`.
         self._owner = None
+        self._lock = threading.RLock()
 
     @property
     def state(self):
         """The current state, applying any due open→half-open move."""
-        if self._state == OPEN and self._cooldown_remaining() <= 0:
-            self._transition(HALF_OPEN)
-        return self._state
+        with self._lock:
+            if self._state == OPEN and self._cooldown_remaining() <= 0:
+                self._transition(HALF_OPEN)
+            return self._state
 
     def _cooldown_remaining(self):
         return self.cooldown - (self.clock.time() - self._opened_at)
 
     def _transition(self, to_state):
-        from_state = self._state
-        if from_state == to_state:
-            return
-        self._state = to_state
-        if to_state == OPEN:
-            self._opened_at = self.clock.time()
-        self.transitions.append((from_state, to_state))
-        if self.on_transition is not None:
-            self.on_transition(from_state, to_state)
+        with self._lock:
+            from_state = self._state
+            if from_state == to_state:
+                return
+            self._state = to_state
+            if to_state == OPEN:
+                self._opened_at = self.clock.time()
+            self.transitions.append((from_state, to_state))
+            if self.on_transition is not None:
+                self.on_transition(from_state, to_state)
 
     def allow(self, doc_id=None):
         """Admit a request or raise :class:`CircuitOpenError`."""
-        if self.state == OPEN:
-            raise CircuitOpenError(
-                "circuit breaker for {!r} is open "
-                "({:.3f}s until half-open)".format(
-                    self.name, max(0.0, self._cooldown_remaining())
-                ),
-                doc_id=doc_id,
-                source=self.name,
-                retry_after=max(0.0, self._cooldown_remaining()),
-            )
+        with self._lock:
+            if self.state != OPEN:
+                return
+            retry_after = max(0.0, self._cooldown_remaining())
+        raise CircuitOpenError(
+            "circuit breaker for {!r} is open "
+            "({:.3f}s until half-open)".format(self.name, retry_after),
+            doc_id=doc_id,
+            source=self.name,
+            retry_after=retry_after,
+        )
 
     def record_success(self):
-        self._consecutive_failures = 0
-        if self._state == HALF_OPEN:
-            self._transition(CLOSED)
+        with self._lock:
+            self._consecutive_failures = 0
+            if self._state == HALF_OPEN:
+                self._transition(CLOSED)
 
     def record_failure(self):
-        if self._state == HALF_OPEN:
-            # The probe failed: re-open and restart the cooldown.
-            self._consecutive_failures = self.failure_threshold
-            self._transition(OPEN)
-            return
-        self._consecutive_failures += 1
-        if (self._state == CLOSED
-                and self._consecutive_failures >= self.failure_threshold):
-            self._transition(OPEN)
+        with self._lock:
+            if self._state == HALF_OPEN:
+                # The probe failed: re-open and restart the cooldown.
+                self._consecutive_failures = self.failure_threshold
+                self._transition(OPEN)
+                return
+            self._consecutive_failures += 1
+            if (self._state == CLOSED
+                    and self._consecutive_failures
+                    >= self.failure_threshold):
+                self._transition(OPEN)
 
     def clone(self, name=None):
         """A fresh, unattached breaker with this breaker's configuration.

@@ -43,6 +43,8 @@ cumulative tallies that ``Mediator.explain`` renders per source.
 
 from __future__ import annotations
 
+import threading
+
 from repro import stats as statnames
 from repro.errors import (
     CircuitOpenError,
@@ -102,6 +104,9 @@ class ResilientSource(Source):
             "degraded": 0,
             "circuit_rejections": 0,
         }
+        # Answers over this source force concurrently; the tallies are
+        # read-modify-writes.
+        self._health_lock = threading.Lock()
         if breaker is not None:
             owner = getattr(breaker, "_owner", None)
             if owner is not None and owner is not self:
@@ -139,8 +144,12 @@ class ResilientSource(Source):
                 source=self.name,
             )
 
+    def _tally(self, key):
+        with self._health_lock:
+            self._health[key] += 1
+
     def _note_retry(self, attempt, exc, doc_id):
-        self._health["retries"] += 1
+        self._tally("retries")
         if self._obs is not None:
             self._obs.incr(statnames.SOURCE_RETRIES)
             self._obs.event(
@@ -152,18 +161,18 @@ class ResilientSource(Source):
             )
 
     def _note_failure(self, exc, doc_id):
-        self._health["failures"] += 1
+        self._tally("failures")
         if isinstance(exc, SourceTimeoutError):
-            self._health["timeouts"] += 1
+            self._tally("timeouts")
             if self._obs is not None:
                 self._obs.incr(statnames.SOURCE_TIMEOUTS)
         if isinstance(exc, CircuitOpenError):
-            self._health["circuit_rejections"] += 1
+            self._tally("circuit_rejections")
         if self._obs is not None:
             self._obs.incr(statnames.SOURCE_FAILURES)
 
     def _note_degraded(self, exc, doc_id):
-        self._health["degraded"] += 1
+        self._tally("degraded")
         if self._obs is not None:
             self._obs.incr(statnames.DEGRADED_RESULTS)
             self._obs.event(
@@ -176,7 +185,8 @@ class ResilientSource(Source):
         Returns a dict of the counters above plus the breaker's current
         state and its transition history as ``"closed->open"`` strings.
         """
-        health = dict(self._health)
+        with self._health_lock:
+            health = dict(self._health)
         health["source"] = self.name
         if self.breaker is not None:
             health["breaker"] = self.breaker.state

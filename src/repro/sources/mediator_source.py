@@ -61,11 +61,16 @@ class MediatorSource(Source):
                 doc_id=doc_id,
                 source=type(self).__name__,
             )
-        if doc_id not in self._roots:
+        root = self._roots.get(doc_id)
+        if root is None:
             # Cache only after the lower query succeeded; a failed run
             # leaves no entry, so the next access retries cleanly.
-            self._roots[doc_id] = self.mediator.query(self._views[doc_id])
-        return self._roots[doc_id]
+            # Upper answers force in parallel, so two may race here:
+            # the first stored root wins and both navigate it.
+            root = self._roots.setdefault(
+                doc_id, self.mediator.query(self._views[doc_id])
+            )
+        return root
 
     def iter_document_children(self, doc_id):
         """Navigate the lower view with d/r commands, one child at a time."""
@@ -123,7 +128,10 @@ def _qdom_to_node(qdom_node):
 
     Children are produced by lower-mediator navigation commands only as
     the upper engine's navigation reaches them.  Leaves carry their
-    value as the label, per the shared data model.
+    value as the label, per the shared data model.  Each mirror node's
+    tail forces under its own lock, and only ever forces the lower
+    answer (upstream in data flow), per the lock order of
+    :class:`~repro.xmltree.tree.LazyTail`.
     """
 
     def tail(start=qdom_node):

@@ -12,6 +12,7 @@ Public API::
 """
 
 from repro.xmltree.tree import (
+    LazyTail,
     Node,
     OidGenerator,
     atomize,
@@ -25,6 +26,7 @@ from repro.xmltree.parser import parse_xml
 from repro.xmltree.serializer import serialize
 
 __all__ = [
+    "LazyTail",
     "Node",
     "OidGenerator",
     "Path",

@@ -20,15 +20,34 @@ import threading
 
 from repro.errors import MixError
 
-#: One process-wide re-entrant lock serializes lazy-tail forcing.  The
-#: navigation memo shares materialized answer prefixes across concurrent
-#: server sessions, and two threads resuming one generator would race
-#: (``ValueError: generator already executing``) or tear the child list.
-#: Forcing one node's tail may pull the engine pipeline, which forces
-#: *source* nodes' tails in turn — hence re-entrant, and global rather
-#: than per-node (per-node locks could deadlock on that nesting).
-#: Already-materialized prefixes are read without the lock.
-_FORCE_LOCK = threading.RLock()
+
+class LazyTail:
+    """A lazy child iterator plus the lock that single-flights its forcing.
+
+    Two threads resuming one generator would race (``ValueError:
+    generator already executing``) or tear the child list, so a tail is
+    only ever resumed under its lock.  The lock belongs to the
+    *producer* the tail pulls from: every lazily-tailed node of one
+    engine answer shares its answer's lock (their tails pull the same
+    operator generators), while a bare iterator handed to :class:`Node`
+    is wrapped with a lock of its own.  Materialized nodes carry no
+    tail and therefore no lock.
+
+    **Lock order.**  A tail only forces nodes *upstream* of it in data
+    flow: its own answer (hence re-entrant locks), its sources, and the
+    answers of lower-tier mediators it reads through
+    :class:`~repro.sources.MediatorSource`.  Locks are thus acquired in
+    data-flow order, so the wait-for graph has no cycle and nested
+    forcing cannot deadlock.  A tail must never force a node downstream
+    of it.
+    """
+
+    __slots__ = ("iterator", "lock")
+
+    def __init__(self, iterator, lock=None):
+        self.iterator = iter(iterator)
+        self.lock = threading.RLock() if lock is None else lock
+
 
 #: Types a leaf label (value) may have.  ``D`` in the paper is
 #: "string-like"; we additionally admit numbers so that relational values
@@ -44,7 +63,8 @@ class Node:
     once via :func:`elem` / :func:`leaf` and treats them as frozen.
 
     **Lazy children.**  A node may be constructed with ``lazy_tail``, an
-    iterator producing further children on demand.  This is how the lazy
+    iterator (or a :class:`LazyTail` sharing its producer's lock)
+    producing further children on demand.  This is how the lazy
     engine exports virtual results: accessing ``children`` (or iterating)
     forces everything, but :meth:`child` — the navigation primitive —
     forces only the prefix up to the requested index, which is exactly
@@ -61,6 +81,8 @@ class Node:
         self.oid = oid
         self.label = label
         self._children = list(children)
+        if lazy_tail is not None and type(lazy_tail) is not LazyTail:
+            lazy_tail = LazyTail(lazy_tail)
         self._tail = lazy_tail
         self._broken = None
 
@@ -82,18 +104,20 @@ class Node:
 
         Thread-safe: the materialized prefix is append-only (reads of
         already-forced children skip the lock), and tail resumption is
-        serialized under the process-wide forcing lock.
+        serialized under the tail's :class:`LazyTail` lock.  A broken
+        tail is never cleared, so ``_tail is None`` alone means done.
         """
-        if self._tail is None and self._broken is None:
+        tail = self._tail
+        if tail is None:
             return
-        with _FORCE_LOCK:
-            while (self._tail is not None or self._broken is not None) and (
+        with tail.lock:
+            while self._tail is not None and (
                 count is None or len(self._children) < count
             ):
                 if self._broken is not None:
                     raise self._broken
                 try:
-                    self._children.append(next(self._tail))
+                    self._children.append(next(tail.iterator))
                 except StopIteration:
                     self._tail = None
                 except Exception as exc:
@@ -114,7 +138,7 @@ class Node:
         materialized prefix, the same position tuple mode raises at.
         """
         self._force(count)
-        if extra <= 0 or (self._tail is None and self._broken is None):
+        if extra <= 0 or self._tail is None:
             return
         try:
             self._force(count + extra)

@@ -5,6 +5,10 @@ transitions (closed→open→half-open→{closed,open}) driven purely by
 ``clock.advance`` — no real waiting anywhere.
 """
 
+import itertools
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -182,3 +186,80 @@ class TestCircuitBreaker:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)
+
+
+class TestCircuitBreakerConcurrency:
+    """Answers over one source force concurrently, so breaker updates
+    race; a tiny switch interval makes the interleavings likely."""
+
+    THREADS = 8
+
+    def race(self, fn, calls):
+        barrier = threading.Barrier(self.THREADS)
+
+        def run():
+            barrier.wait(10)
+            for __ in range(calls):
+                fn()
+
+        threads = [
+            threading.Thread(target=run, daemon=True)
+            for __ in range(self.THREADS)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_no_failure_increment_is_lost(self):
+        calls = 400
+        breaker = CircuitBreaker(
+            failure_threshold=self.THREADS * calls, clock=ManualClock()
+        )
+        self.race(breaker.record_failure, calls)
+        # The threshold is met by the very last failure, exactly once.
+        assert breaker._consecutive_failures == self.THREADS * calls
+        assert breaker.state == OPEN
+        assert breaker.transitions == [(CLOSED, OPEN)]
+
+    def test_racing_probes_record_each_legal_transition_once(self):
+        # cooldown=0: every read of an open breaker moves it to
+        # half-open, so succeeding and failing probes keep racing over
+        # the half-open state — the window where an unguarded breaker
+        # records illegal (OPEN, CLOSED) edges, duplicate half-open
+        # moves, or refuses a caller after the cooldown elapsed.
+        legal = {(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED),
+                 (HALF_OPEN, OPEN)}
+        for __ in range(10):
+            seen = []
+            errors = []
+            breaker = CircuitBreaker(
+                failure_threshold=1, cooldown=0.0, clock=ManualClock(),
+                on_transition=lambda a, b: seen.append((a, b)),
+            )
+            outcomes = itertools.cycle(
+                [breaker.record_success, breaker.record_failure]
+            )
+
+            def probe():
+                record = next(outcomes)
+                try:
+                    breaker.allow()
+                except CircuitOpenError as exc:
+                    errors.append(exc)
+                record()
+
+            self.race(probe, 300)
+            transitions = breaker.transitions
+            assert not errors
+            assert set(transitions) <= legal
+            assert all(
+                a[1] == b[0] for a, b in zip(transitions, transitions[1:])
+            )
+            assert seen == transitions

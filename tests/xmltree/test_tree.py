@@ -1,9 +1,13 @@
 """Unit tests for the labeled ordered tree model."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import MixError
 from repro.xmltree import (
+    LazyTail,
     Node,
     OidGenerator,
     atomize,
@@ -113,6 +117,69 @@ class TestLazyChildren:
     def test_repr_marks_laziness(self):
         node = self._lazy_node(3)
         assert "lazy" in repr(node)
+
+
+class TestForcingLocks:
+    def test_unrelated_tails_force_in_parallel(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def stalled():
+            entered.set()
+            release.wait(5)
+            yield leaf("late")
+
+        slow = Node("&s", "list", lazy_tail=stalled())
+        fast = Node("&f", "list", lazy_tail=iter([leaf("x")]))
+        thread = threading.Thread(target=slow.child, args=(0,), daemon=True)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            assert fast.child(0).label == "x"
+            # Forced while the other tail is still stalled, not after.
+            assert thread.is_alive()
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert slow.child(0).label == "late"
+
+    def test_a_shared_lock_single_flights_one_producer(self):
+        # Two nodes whose tails resume one generator: without the
+        # shared lock, concurrent forcing would resume it twice.
+        lock = threading.RLock()
+        shared = (leaf(v) for v in range(4000))
+        nodes = [
+            Node("&{}".format(i), "list", lazy_tail=LazyTail(
+                (child for child in shared), lock
+            ))
+            for i in range(2)
+        ]
+        errors = []
+
+        def force(node):
+            try:
+                node.children
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=force, args=(node,), daemon=True)
+            for node in nodes * 4
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors
+        values = sorted(
+            child.label for node in nodes for child in node.children
+        )
+        assert values == list(range(4000))
 
 
 class TestDeepEquals:
